@@ -14,6 +14,7 @@
 # Usage:
 #   ./ci.sh          # run every stage
 #   ./ci.sh gate     # just the tier-1 gate (build + tests)
+#   ./ci.sh workspace  # every test target in the workspace
 #   ./ci.sh fmt | clippy | bench | determinism | simd | faults | metrics | trace | serve | chaos
 
 set -euo pipefail
@@ -42,6 +43,14 @@ run_gate() {
     stage "tier-1 gate: cargo build --release && cargo test -q"
     cargo build --release --locked
     cargo test -q --locked
+}
+
+run_workspace() {
+    stage "workspace tests: cargo test --workspace --no-fail-fast"
+    # Every test target of every crate (the gate above runs the root
+    # package only): per-crate unit and integration tests, serving,
+    # observability, fault tolerance and the profiler.
+    cargo test --workspace --no-fail-fast --locked
 }
 
 run_fmt() {
@@ -639,6 +648,7 @@ EOF
 
 case "${1:-all}" in
     gate)        run_gate ;;
+    workspace)   run_workspace ;;
     fmt)         run_fmt ;;
     clippy)      run_clippy ;;
     bench)       run_bench ;;
@@ -651,6 +661,7 @@ case "${1:-all}" in
     chaos)       run_chaos ;;
     all)
         run_gate
+        run_workspace
         run_fmt
         run_clippy
         run_bench
@@ -664,7 +675,7 @@ case "${1:-all}" in
         printf '\nci.sh: all stages passed\n'
         ;;
     *)
-        echo "usage: $0 [all|gate|fmt|clippy|bench|determinism|simd|faults|metrics|trace|serve|chaos]" >&2
+        echo "usage: $0 [all|gate|workspace|fmt|clippy|bench|determinism|simd|faults|metrics|trace|serve|chaos]" >&2
         exit 2
         ;;
 esac

@@ -7,7 +7,7 @@
 
 use ist_tensor::{matmul as mm, ops as t, Tensor};
 
-use crate::tape::{Tape, Var};
+use crate::tape::{Param, Tape, Var};
 
 fn same_tape(a: &Var, b: &Var) -> Tape {
     // All ops in one step must share a tape; mixing tapes is a logic error.
@@ -153,6 +153,20 @@ pub fn matmul(a: &Var, b: &Var) -> Var {
         })),
         a.requires_grad() || b.requires_grad(),
     )
+}
+
+/// `a[m×k] · w[k×n]` against a trainable weight: on a grad-enabled tape,
+/// exactly `matmul(a, &w.leaf(tape))`. On a `no_grad` tape no gradient
+/// flows back into `w`, so the product reads a borrow of the parameter
+/// ([`Param::with_value`]) instead of copying the weight onto the tape and
+/// back out. Same GEMM, same bits.
+pub fn matmul_param(a: &Var, w: &Param) -> Var {
+    if a.tape.grad_enabled() {
+        return matmul(a, &w.leaf(&a.tape));
+    }
+    let _p = crate::profile::fwd("matmul");
+    let out = w.with_value(|wv| mm::matmul(&a.value(), wv));
+    a.tape.push(out, vec![], None, false)
 }
 
 /// Batched matrix product `a[B×m×k] · b[B×k×n]`.
@@ -475,6 +489,25 @@ mod tests {
             let b = add_scalar(&xs[1], 3.0);
             sum_all(&div(&sub(&xs[0], &b), &b))
         });
+    }
+
+    #[test]
+    fn matmul_param_borrows_on_no_grad_tapes_and_matches_matmul() {
+        let w = Param::new("w", rt(7, &[4, 3]));
+        let x = rt(8, &[5, 4]);
+        let want = mm::matmul(&x, &w.value());
+
+        let tape = Tape::no_grad();
+        let y = matmul_param(&tape.leaf(x.clone()), &w);
+        assert_eq!(y.value().data(), want.data());
+        assert_eq!(tape.len(), 2, "input and product only: no weight copy");
+
+        // On a grad tape it is the ordinary leaf + matmul, gradient included.
+        let tape = Tape::new();
+        let y = matmul_param(&tape.leaf(x), &w);
+        assert_eq!(y.value().data(), want.data());
+        tape.backward(&sum_all(&y));
+        assert!(w.grad().norm2() > 0.0);
     }
 
     #[test]

@@ -20,10 +20,16 @@
 //!   kind — [`crate::Tape::to_dot`] labels nodes from it.
 //! * Timing/byte recording is gated like every other probe: inert but for
 //!   two relaxed atomic loads unless `IST_METRICS` or `IST_TRACE` is set.
+//! * Guards record on the thread that runs the op (pool workers only run
+//!   kernels inside an op, never ops). Besides the process-wide ledger, a
+//!   thread may open a [`Session`]: everything that thread records while
+//!   the session lives is also accumulated into the session's own ledger,
+//!   untouched by ops running concurrently on other threads.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::rc::Rc;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
@@ -44,24 +50,64 @@ pub struct OpStat {
     pub out_bytes: u64,
 }
 
-static FWD_WINDOW_NS: AtomicU64 = AtomicU64::new(0);
-static BWD_WINDOW_NS: AtomicU64 = AtomicU64::new(0);
-static HOOKED: AtomicBool = AtomicBool::new(false);
-
-fn stats() -> &'static Mutex<BTreeMap<&'static str, OpStat>> {
-    static STATS: OnceLock<Mutex<BTreeMap<&'static str, OpStat>>> = OnceLock::new();
-    STATS.get_or_init(|| Mutex::new(BTreeMap::new()))
+/// Per-op stats plus the forward/backward window totals they are measured
+/// against. The process-wide ledger and every [`Session`] are one each.
+#[derive(Default)]
+struct Ledger {
+    ops: BTreeMap<&'static str, OpStat>,
+    fwd_window_ns: u64,
+    bwd_window_ns: u64,
 }
 
-fn lock_stats() -> std::sync::MutexGuard<'static, BTreeMap<&'static str, OpStat>> {
-    stats()
+impl Ledger {
+    fn op_table(&self) -> Vec<(&'static str, OpStat)> {
+        let mut rows: Vec<(&'static str, OpStat)> =
+            self.ops.iter().map(|(k, v)| (*k, *v)).collect();
+        rows.sort_by_key(|(_, s)| std::cmp::Reverse(s.fwd_ns + s.bwd_ns));
+        rows
+    }
+
+    fn totals(&self) -> Totals {
+        let mut t = Totals {
+            fwd_window_ns: self.fwd_window_ns,
+            bwd_window_ns: self.bwd_window_ns,
+            ..Totals::default()
+        };
+        for s in self.ops.values() {
+            t.attributed_fwd_ns += s.fwd_ns;
+            t.attributed_bwd_ns += s.bwd_ns;
+        }
+        t
+    }
+}
+
+static HOOKED: AtomicBool = AtomicBool::new(false);
+
+fn global() -> std::sync::MutexGuard<'static, Ledger> {
+    static GLOBAL: OnceLock<Mutex<Ledger>> = OnceLock::new();
+    GLOBAL
+        .get_or_init(|| Mutex::new(Ledger::default()))
         .lock()
         .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+/// Applies one recording to the process-wide ledger and, when this thread
+/// has a [`Session`] open, to the session's ledger too.
+fn record(f: impl Fn(&mut Ledger)) {
+    ensure_hooked();
+    f(&mut global());
+    SESSION.with(|s| {
+        if let Some(ledger) = &*s.borrow() {
+            f(&mut ledger.borrow_mut());
+        }
+    });
 }
 
 std::thread_local! {
     /// Innermost-first stack of active forward ops (always maintained).
     static OP_STACK: RefCell<Vec<&'static str>> = const { RefCell::new(Vec::new()) };
+    /// The innermost [`Session`] open on this thread, if any.
+    static SESSION: RefCell<Option<Rc<RefCell<Ledger>>>> = const { RefCell::new(None) };
 }
 
 /// True when any profiling sink (metrics or trace) is active.
@@ -146,16 +192,16 @@ impl Drop for OpGuard {
         }
         if let Some((op, start, is_bwd)) = self.rec.take() {
             let ns = start.elapsed().as_nanos() as u64;
-            ensure_hooked();
-            let mut map = lock_stats();
-            let stat = map.entry(op).or_default();
-            if is_bwd {
-                stat.bwd_ns += ns;
-                stat.bwd_count += 1;
-            } else {
-                stat.fwd_ns += ns;
-                stat.fwd_count += 1;
-            }
+            record(|ledger| {
+                let stat = ledger.ops.entry(op).or_default();
+                if is_bwd {
+                    stat.bwd_ns += ns;
+                    stat.bwd_count += 1;
+                } else {
+                    stat.fwd_ns += ns;
+                    stat.fwd_count += 1;
+                }
+            });
         }
     }
 }
@@ -166,8 +212,7 @@ pub(crate) fn note_output(op: &'static str, bytes: u64) {
     if !on() {
         return;
     }
-    ensure_hooked();
-    lock_stats().entry(op).or_default().out_bytes += bytes;
+    record(|ledger| ledger.ops.entry(op).or_default().out_bytes += bytes);
 }
 
 /// Which window a [`WindowGuard`] accumulates into.
@@ -200,11 +245,10 @@ impl Drop for WindowGuard {
     fn drop(&mut self) {
         if let Some((start, window)) = self.start.take() {
             let ns = start.elapsed().as_nanos() as u64;
-            ensure_hooked();
-            match window {
-                Window::Forward => FWD_WINDOW_NS.fetch_add(ns, Ordering::Relaxed),
-                Window::Backward => BWD_WINDOW_NS.fetch_add(ns, Ordering::Relaxed),
-            };
+            record(|ledger| match window {
+                Window::Forward => ledger.fwd_window_ns += ns,
+                Window::Backward => ledger.bwd_window_ns += ns,
+            });
         }
     }
 }
@@ -234,33 +278,55 @@ impl Totals {
     }
 }
 
-/// Current attribution totals.
+/// Current process-wide attribution totals.
 pub fn totals() -> Totals {
-    let map = lock_stats();
-    let mut t = Totals {
-        fwd_window_ns: FWD_WINDOW_NS.load(Ordering::Relaxed),
-        bwd_window_ns: BWD_WINDOW_NS.load(Ordering::Relaxed),
-        ..Totals::default()
-    };
-    for s in map.values() {
-        t.attributed_fwd_ns += s.fwd_ns;
-        t.attributed_bwd_ns += s.bwd_ns;
-    }
-    t
+    global().totals()
 }
 
-/// Snapshot of per-op stats, sorted by total (fwd+bwd) time, descending.
+/// Snapshot of the process-wide per-op stats, sorted by total (fwd+bwd)
+/// time, descending.
 pub fn op_table() -> Vec<(&'static str, OpStat)> {
-    let map = lock_stats();
-    let mut rows: Vec<(&'static str, OpStat)> = map.iter().map(|(k, v)| (*k, *v)).collect();
-    rows.sort_by_key(|(_, s)| std::cmp::Reverse(s.fwd_ns + s.bwd_ns));
-    rows
+    global().op_table()
 }
 
 fn reset() {
-    lock_stats().clear();
-    FWD_WINDOW_NS.store(0, Ordering::Relaxed);
-    BWD_WINDOW_NS.store(0, Ordering::Relaxed);
+    *global() = Ledger::default();
+}
+
+/// A profiling scope bound to the thread that opened it (see
+/// [`session`]). Not `Send`: it only ever sees its own thread's ops.
+pub struct Session {
+    ledger: Rc<RefCell<Ledger>>,
+    outer: Option<Rc<RefCell<Ledger>>>,
+}
+
+/// Opens a [`Session`] on the calling thread. Until it is dropped, every op,
+/// backward rule and window this thread records (while profiling is on)
+/// is accumulated into the session as well as the process-wide ledger.
+/// Sessions nest: the innermost one receives the records, and dropping it
+/// reinstates the one it shadowed.
+pub fn session() -> Session {
+    let ledger = Rc::new(RefCell::new(Ledger::default()));
+    let outer = SESSION.with(|s| s.borrow_mut().replace(Rc::clone(&ledger)));
+    Session { ledger, outer }
+}
+
+impl Session {
+    /// This session's per-op stats, sorted like [`op_table`].
+    pub fn op_table(&self) -> Vec<(&'static str, OpStat)> {
+        self.ledger.borrow().op_table()
+    }
+
+    /// This session's attribution totals.
+    pub fn totals(&self) -> Totals {
+        self.ledger.borrow().totals()
+    }
+}
+
+impl Drop for Session {
+    fn drop(&mut self) {
+        SESSION.with(|s| *s.borrow_mut() = self.outer.take());
+    }
 }
 
 fn json_lines(out: &mut Vec<String>) {
@@ -323,5 +389,47 @@ fn summary(out: &mut String) {
             (t.fwd_window_ns + t.bwd_window_ns) as f64 / 1e6,
             t.coverage() * 100.0
         ));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{ops, Tape};
+    use ist_tensor::Tensor;
+
+    #[test]
+    fn session_ignores_ops_recorded_on_other_threads() {
+        ist_obs::set_mode(ist_obs::Mode::Summary);
+        let session = session();
+        let matmul = || {
+            let tape = Tape::new();
+            let a = tape.leaf(Tensor::ones(&[8, 8]));
+            let _ = ops::matmul(&a, &a);
+        };
+        // Another thread's op lands while the session is open…
+        std::thread::spawn(matmul).join().unwrap();
+        // …and a session opened on that thread sees only that thread.
+        let other = std::thread::spawn(move || {
+            let inner = super::session();
+            matmul();
+            matmul();
+            inner.op_table()
+        })
+        .join()
+        .unwrap();
+        matmul();
+        let count = |rows: &[(&str, OpStat)]| {
+            rows.iter()
+                .find(|(k, _)| *k == "matmul")
+                .map_or(0, |(_, s)| s.fwd_count)
+        };
+        assert_eq!(count(&session.op_table()), 1);
+        assert_eq!(count(&other), 2);
+        assert!(
+            count(&op_table()) >= 4,
+            "the global table sees every thread"
+        );
+        ist_obs::set_mode(ist_obs::Mode::Off);
     }
 }

@@ -386,6 +386,15 @@ impl Param {
         self.inner.borrow().value.clone()
     }
 
+    /// Runs `f` on a borrow of the current value — no copy. `no_grad`
+    /// forwards read parameters through this where [`Param::leaf`] would
+    /// clone them onto the tape: a few rows of a large embedding table
+    /// (`ist_nn::embedding::Embedding::forward`) or a weight matrix
+    /// ([`crate::ops::matmul_param`]).
+    pub fn with_value<R>(&self, f: impl FnOnce(&Tensor) -> R) -> R {
+        f(&self.inner.borrow().value)
+    }
+
     /// Clones the accumulated gradient out.
     pub fn grad(&self) -> Tensor {
         self.inner.borrow().grad.clone()

@@ -1,8 +1,10 @@
 //! Autograd profiler integration tests: op attribution, window coverage,
 //! and DOT export.
 //!
-//! Profiler state is process-global, so the attribution/coverage checks
-//! live in a single test function (tests in one binary run in parallel).
+//! Tests in one binary run in parallel and the op table is process-wide, so
+//! the attribution/coverage checks read a thread-scoped `profile::session`
+//! rather than the global table: ops the DOT-export test records
+//! concurrently on its own thread cannot land in it.
 
 use ist_autograd::{fused, ops, profile, Param, Tape};
 use ist_tensor::rng::{randn, SeedRng, SeedRngExt};
@@ -12,6 +14,7 @@ use ist_tensor::Tensor;
 fn attribution_and_coverage() {
     ist_obs::set_mode(ist_obs::Mode::Summary);
     ist_obs::reset();
+    let session = profile::session();
 
     let n = 96;
     let mut rng = SeedRng::seed(7);
@@ -30,7 +33,7 @@ fn attribution_and_coverage() {
         tape.backward(&loss);
     }
 
-    let rows = profile::op_table();
+    let rows = session.op_table();
     let find = |op: &str| {
         rows.iter()
             .find(|(k, _)| *k == op)
@@ -58,7 +61,7 @@ fn attribution_and_coverage() {
     // Everything inside the forward window is an op call, and the backward
     // window is the sweep itself, so attribution should account for nearly
     // all of both (glue between ops is the only uncovered time).
-    let t = profile::totals();
+    let t = session.totals();
     assert!(t.fwd_window_ns > 0 && t.bwd_window_ns > 0);
     assert!(
         t.coverage() >= 0.90,

@@ -146,9 +146,10 @@ impl Isrec {
         self.k
     }
 
-    /// Embedding of the behaviour sequence (Eq. 1–4): item + positional +
-    /// summed concept embeddings through the causal transformer.
-    fn encode(&self, ctx: &mut Ctx, batch: &SeqBatch) -> Var {
+    /// Input representation of every position (Eq. 1–2: the sum of item,
+    /// positional and concept embeddings, then dropout) and the causal pad
+    /// mask `[B, T, T]` of the transformer over it.
+    fn embed(&self, ctx: &mut Ctx, batch: &SeqBatch) -> (Var, Tensor) {
         let item_e = self.item_emb.forward(ctx, &batch.inputs);
         let pos_e = self.pos_emb.forward(ctx, batch.batch, batch.len);
         let bags: Vec<Vec<usize>> = batch
@@ -161,6 +162,13 @@ impl Isrec {
         let h0 = ops::add(&ops::add(&item_e, &pos_e), &concept_e);
         let h0 = dropout(ctx, &h0, self.cfg.dropout);
         let mask = attention_mask(batch.batch, batch.len, &batch.pad, true);
+        (h0, mask)
+    }
+
+    /// Embedding of the behaviour sequence (Eq. 1–4) at every position,
+    /// through the causal transformer: `[B·T, d]`.
+    fn encode(&self, ctx: &mut Ctx, batch: &SeqBatch) -> Var {
+        let (h0, mask) = self.embed(ctx, batch);
         self.encoder
             .forward(ctx, &h0, batch.batch, batch.len, &mask)
     }
@@ -214,7 +222,7 @@ impl Isrec {
                 None => x.clone(),
             };
             let lifted = ops::add(
-                &ops::matmul(&pre, &self.up_w.leaf(&ctx.tape)),
+                &ops::matmul_param(&pre, &self.up_w),
                 &self.up_b.leaf(&ctx.tape),
             );
             let z = ops::reshape(&lifted, &[rows, k, dp]);
@@ -241,7 +249,7 @@ impl Isrec {
                             ops::scale(&ops::add(&learned, &fixed), 0.5)
                         }
                     };
-                    self.gcn.forward_adj_var(ctx, &z_now, &adj)
+                    self.gcn.forward_adj_var(&z_now, &adj)
                 }
             };
             // m_{t+1} from the feature norms ‖z_{t+1,k}‖₂ (§3.5): hard
@@ -279,7 +287,7 @@ impl Isrec {
         let z_gated = ops::mul(&z_next, &gate_next);
         let flat = ops::reshape(&z_gated, &[rows, k * dp]);
         let mut decoded = ops::add(
-            &ops::matmul(&flat, &self.down_w.leaf(&ctx.tape)),
+            &ops::matmul_param(&flat, &self.down_w),
             &self.down_b.leaf(&ctx.tape),
         );
         // Intent anchor: the decoded representation carries the activated
@@ -338,39 +346,37 @@ impl Isrec {
         (logits, trace)
     }
 
-    /// No-tape inference forward for online serving: encodes each history
-    /// and returns the next-step representation `x_{t+1}` of its *newest*
-    /// position, one row per history (`[m, d]`).
+    /// No-tape inference forward, the one inference path of serving and
+    /// the evaluation protocol: encodes each history and returns the
+    /// next-step representation `x_{t+1}` of its *newest* position, one row
+    /// per history (`[m, d]`).
     ///
     /// Runs on [`Ctx::inference`] (a `no_grad` tape), so no backward
     /// closures are recorded; dropout is off and the Gumbel noise is zero,
-    /// making the result deterministic. Every stage of the eval forward is
+    /// making the result deterministic. It computes only what it returns:
+    /// the final transformer block runs its queries and FFN for position
+    /// `t-1` alone ([`TransformerEncoder::forward_last`]), and the intent
+    /// pipeline (Eq. 5–11) sees one row per history. Every stage is
     /// row-wise (embeddings, per-row attention masks, per-row softmax/
-    /// layer-norm, and a GEMM whose per-row accumulation order is fixed),
-    /// so a history's row is **bitwise identical** regardless of which —
-    /// or how many — other histories share the batch. The serving engine's
-    /// batching and caching guarantees rest on this invariant (pinned by
-    /// `infer_last_repr_is_batch_size_invariant` below and the CI serve
-    /// stage).
+    /// layer-norm/top-λ, and GEMMs whose per-row accumulation order is
+    /// fixed), so each row is **bitwise identical** to row `t-1` of
+    /// [`Isrec::forward_logits`]' representation, and to itself whichever —
+    /// or however many — other histories share the batch. The serving
+    /// engine's batching and caching guarantees rest on this invariant
+    /// (pinned by the tests below and the CI serve stage).
     pub fn infer_last_repr(&self, histories: &[&[usize]]) -> Tensor {
         let m = histories.len();
-        let (t, d) = (self.cfg.max_len, self.cfg.d);
         if m == 0 {
-            return Tensor::zeros(&[0, d]);
+            return Tensor::zeros(&[0, self.cfg.d]);
         }
-        let batcher = self.batcher(m);
-        let batch = batcher.inference_batch(histories);
+        let batch = self.batcher(m).inference_batch(histories);
         let mut ctx = Ctx::inference();
-        let x = self.encode(&mut ctx, &batch);
-        let (x_next, _) = self.intent_pipeline(&mut ctx, &x, false);
-        let v = x_next.value(); // [m*t, d]
-        let mut out = vec![0.0f32; m * d];
-        for bi in 0..m {
-            // Left padding ⇒ the newest position is always t-1.
-            let row = bi * t + (t - 1);
-            out[bi * d..(bi + 1) * d].copy_from_slice(&v.data()[row * d..(row + 1) * d]);
-        }
-        Tensor::from_vec(out, &[m, d])
+        let (h0, mask) = self.embed(&mut ctx, &batch);
+        // Left padding ⇒ the newest position is always t-1.
+        let x = self
+            .encoder
+            .forward_last(&mut ctx, &h0, batch.batch, batch.len, &mask);
+        self.intent_pipeline(&mut ctx, &x, false).0.value()
     }
 
     /// The Eq.-12 output item table — item embeddings plus, when
@@ -465,19 +471,14 @@ impl SequentialRecommender for Isrec {
         candidates: &[&[usize]],
     ) -> Vec<Vec<f32>> {
         assert_eq!(histories.len(), candidates.len());
-        let batcher = self.batcher(1);
-        let t = self.cfg.max_len;
+        let table_t = self.output_item_table_t();
         let mut out = Vec::with_capacity(histories.len());
+        // Chunked to bound the `[chunk, num_items]` score block.
         const CHUNK: usize = 128;
         for (hist_chunk, cand_chunk) in histories.chunks(CHUNK).zip(candidates.chunks(CHUNK)) {
-            let batch = batcher.inference_batch(hist_chunk);
-            let mut ctx = Ctx::eval();
-            let (logits, _) = self.forward_logits(&mut ctx, &batch, false);
-            let lv = logits.value();
+            let scores = ist_tensor::matmul::matmul(&self.infer_last_repr(hist_chunk), &table_t);
             for (bi, cands) in cand_chunk.iter().enumerate() {
-                // Left padding ⇒ the newest position is always t-1.
-                let row = bi * t + (t - 1);
-                out.push(cands.iter().map(|&c| lv.at2(row, c)).collect());
+                out.push(cands.iter().map(|&c| scores.at2(bi, c)).collect());
             }
         }
         out
@@ -686,6 +687,131 @@ mod tests {
             scores.data(),
             &logits.value().data()[last..last + ds.num_items]
         );
+    }
+
+    /// Histories both shorter than `max_len` (left padding) and longer
+    /// (truncation), built from the first users' test histories.
+    fn pin_histories(split: &LeaveOneOut, max_len: usize) -> Vec<Vec<usize>> {
+        let mut hists = Vec::new();
+        for u in 0..4 {
+            let h = split.test_history(u);
+            hists.push(h[h.len() - 3..].to_vec());
+            hists.push(h.clone());
+            let long: Vec<usize> = h.iter().cycle().take(max_len + 7).copied().collect();
+            hists.push(long);
+        }
+        assert!(hists.iter().any(|h| h.len() < max_len));
+        assert!(hists.iter().any(|h| h.len() > max_len));
+        hists
+    }
+
+    fn bits(row: &[f32]) -> Vec<u32> {
+        row.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn last_position_inference_equals_the_training_path_bitwise() {
+        // The serving and eval path (`infer_last_repr`, `score_batch`)
+        // computes only position t-1; it must reproduce that row of the
+        // full training-path forward (`Ctx::eval`, grad tape) exactly, in
+        // every model configuration whose pipeline differs.
+        let ds = tiny_dataset();
+        let split = LeaveOneOut::split(&ds.sequences);
+        let n = ds.num_items;
+        for variant in [
+            IsrecVariant::Full,
+            IsrecVariant::WithoutGnn,
+            IsrecVariant::WithoutGnnAndIntent,
+        ] {
+            for soft_intents in [true, false] {
+                for adjacency in [
+                    AdjacencyMode::Fixed,
+                    AdjacencyMode::Learned,
+                    AdjacencyMode::Mixed,
+                ] {
+                    for layers in [1, 2] {
+                        let cfg = IsrecConfig {
+                            d: 16,
+                            d_prime: 4,
+                            lambda: 4,
+                            max_len: 10,
+                            layers,
+                            heads: 2,
+                            dropout: 0.1,
+                            variant,
+                            soft_intents,
+                            adjacency,
+                            ..Default::default()
+                        };
+                        let what =
+                            format!("{variant:?} soft={soft_intents} {adjacency:?} L={layers}");
+                        let model = Isrec::new(&ds, cfg, 7);
+                        let hists = pin_histories(&split, model.max_len());
+                        let refs: Vec<&[usize]> = hists.iter().map(|h| h.as_slice()).collect();
+                        let batch = model.batcher(refs.len()).inference_batch(&refs);
+                        let t = batch.len;
+
+                        let mut ctx = Ctx::eval();
+                        let x = model.encode(&mut ctx, &batch);
+                        let x_next = model.intent_pipeline(&mut ctx, &x, false).0.value();
+                        let mut ctx = Ctx::eval();
+                        let logits = model.forward_logits(&mut ctx, &batch, false).0.value();
+
+                        let repr = model.infer_last_repr(&refs);
+                        let d = repr.shape()[1];
+                        let all: Vec<usize> = (0..n).collect();
+                        let cands = vec![all.as_slice(); refs.len()];
+                        let users: Vec<usize> = (0..refs.len()).collect();
+                        let scores = model.score_batch(&users, &refs, &cands);
+                        for (bi, row) in scores.iter().enumerate() {
+                            let last = bi * t + t - 1;
+                            assert_eq!(
+                                bits(&repr.data()[bi * d..(bi + 1) * d]),
+                                bits(&x_next.data()[last * d..(last + 1) * d]),
+                                "{what}: infer_last_repr row {bi}"
+                            );
+                            assert_eq!(
+                                bits(row),
+                                bits(&logits.data()[last * n..(last + 1) * n]),
+                                "{what}: score_batch row {bi}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn score_batch_spanning_chunks_equals_forward_logits_bitwise() {
+        let ds = tiny_dataset();
+        let model = tiny_model(&ds, IsrecVariant::Full);
+        let split = LeaveOneOut::split(&ds.sequences);
+        let users: Vec<usize> = (0..130).map(|i| i % ds.sequences.len()).collect();
+        let hists: Vec<Vec<usize>> = users
+            .iter()
+            .enumerate()
+            .map(|(i, &u)| {
+                let h = split.test_history(u);
+                h[(i % 4).min(h.len() - 1)..].to_vec()
+            })
+            .collect();
+        let refs: Vec<&[usize]> = hists.iter().map(|h| h.as_slice()).collect();
+        let cands: Vec<Vec<usize>> = (0..refs.len())
+            .map(|i| (0..5).map(|j| (i * 7 + j * 13) % ds.num_items).collect())
+            .collect();
+        let cand_refs: Vec<&[usize]> = cands.iter().map(|c| c.as_slice()).collect();
+        let scores = model.score_batch(&users, &refs, &cand_refs);
+        assert_eq!(scores.len(), 130);
+
+        let batch = model.batcher(refs.len()).inference_batch(&refs);
+        let mut ctx = Ctx::eval();
+        let logits = model.forward_logits(&mut ctx, &batch, false).0.value();
+        for (bi, (row, cand)) in scores.iter().zip(&cands).enumerate() {
+            let last = bi * batch.len + batch.len - 1;
+            let want: Vec<f32> = cand.iter().map(|&c| logits.at2(last, c)).collect();
+            assert_eq!(bits(row), bits(&want), "history {bi}");
+        }
     }
 
     #[test]

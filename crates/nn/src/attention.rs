@@ -5,6 +5,14 @@
 //! batched matmuls. Each head owns its `[d, d_h]` projections, and the
 //! output projection is decomposed per head (`Concat(heads)·Wo ≡
 //! Σ_h head_h·Wo_h`), avoiding 4-D permutes entirely.
+//!
+//! Query rows: the mask's middle extent `Q` selects how many query rows an
+//! attention or block forward computes — the *last* `Q` positions of each
+//! sequence. `Q = T` is ordinary self-attention; `Q = 1` (see
+//! [`TransformerEncoder::forward_last`]) computes only the newest position,
+//! while keys and values still cover all `T`. Every stage is row-wise and
+//! `bmm` runs the same blocked GEMM per batch element as `matmul`, so a
+//! query row's output does not depend on how many other rows are computed.
 
 use ist_autograd::{fused, ops, Param, Var};
 use ist_tensor::pool;
@@ -62,6 +70,29 @@ pub fn attention_mask(batch: usize, len: usize, pad: &[bool], causal: bool) -> T
     Tensor::from_vec(m, &[batch, len, len])
 }
 
+/// The last `rows` positions of each sequence of `x: [B·T, d]`, as
+/// `[B·rows, d]` (`x` itself when `rows == T`).
+fn last_positions(x: &Var, batch: usize, len: usize, rows: usize) -> Var {
+    if rows == len {
+        return x.clone();
+    }
+    let idx: Vec<usize> = (0..batch)
+        .flat_map(|b| (b + 1) * len - rows..(b + 1) * len)
+        .collect();
+    ops::index_select_rows(x, &idx)
+}
+
+/// The newest-position query row of each sequence of a `[B, T, T]` mask,
+/// as the `[B, 1, T]` mask of a last-row-only forward.
+fn last_query_mask(mask: &Tensor) -> Tensor {
+    let (batch, len) = (mask.shape()[0], mask.shape()[2]);
+    let rows: Vec<f32> = (0..batch)
+        .flat_map(|b| &mask.data()[((b + 1) * len - 1) * len..(b + 1) * len * len])
+        .copied()
+        .collect();
+    Tensor::from_vec(rows, &[batch, 1, len])
+}
+
 /// Multi-head scaled-dot-product self-attention.
 pub struct MultiHeadSelfAttention {
     wq: Vec<Param>,
@@ -102,7 +133,9 @@ impl MultiHeadSelfAttention {
         }
     }
 
-    /// Attends over `x: [B·T, d]` under the additive `mask: [B, T, T]`.
+    /// Attends over `x: [B·T, d]` under the additive `mask: [B, Q, T]`,
+    /// for the last `Q` positions of each sequence (see the module docs):
+    /// returns `[B·Q, d]`.
     pub fn forward(
         &self,
         ctx: &mut Ctx,
@@ -112,18 +145,20 @@ impl MultiHeadSelfAttention {
         mask: &Tensor,
         attn_dropout: f32,
     ) -> Var {
+        let queries = mask.shape()[1];
         debug_assert_eq!(x.shape(), vec![batch * len, self.d]);
-        debug_assert_eq!(mask.shape(), &[batch, len, len]);
-        let _timing = ATTN_TIMER.start_with((batch * len) as u64);
+        debug_assert_eq!(mask.shape(), &[batch, queries, len]);
+        let _timing = ATTN_TIMER.start_with((batch * queries) as u64);
         let mask_var = ctx.tape.constant(mask.clone());
         let scale = 1.0 / (self.dh as f32).sqrt();
+        let xq = last_positions(x, batch, len, queries);
 
         let mut out: Option<Var> = None;
         for h in 0..self.heads {
-            let q = ops::matmul(x, &self.wq[h].leaf(&ctx.tape));
-            let k = ops::matmul(x, &self.wk[h].leaf(&ctx.tape));
-            let v = ops::matmul(x, &self.wv[h].leaf(&ctx.tape));
-            let q3 = ops::reshape(&q, &[batch, len, self.dh]);
+            let q = ops::matmul_param(&xq, &self.wq[h]);
+            let k = ops::matmul_param(x, &self.wk[h]);
+            let v = ops::matmul_param(x, &self.wv[h]);
+            let q3 = ops::reshape(&q, &[batch, queries, self.dh]);
             let k3 = ops::reshape(&k, &[batch, len, self.dh]);
             let v3 = ops::reshape(&v, &[batch, len, self.dh]);
 
@@ -132,9 +167,9 @@ impl MultiHeadSelfAttention {
             let attn = fused::softmax_lastdim(&masked);
             let attn = dropout(ctx, &attn, attn_dropout);
 
-            let ctx_h = ops::bmm(&attn, &v3); // [B, T, dh]
-            let flat = ops::reshape(&ctx_h, &[batch * len, self.dh]);
-            let proj = ops::matmul(&flat, &self.wo[h].leaf(&ctx.tape));
+            let ctx_h = ops::bmm(&attn, &v3); // [B, Q, dh]
+            let flat = ops::reshape(&ctx_h, &[batch * queries, self.dh]);
+            let proj = ops::matmul_param(&flat, &self.wo[h]);
             out = Some(match out {
                 Some(acc) => ops::add(&acc, &proj),
                 None => proj,
@@ -180,13 +215,16 @@ impl TransformerBlock {
         }
     }
 
-    /// Applies the block to `x: [B·T, d]`.
+    /// Applies the block to `x: [B·T, d]` under `mask: [B, Q, T]`,
+    /// computing the last `Q` positions of each sequence (`[B·Q, d]`).
     pub fn forward(&self, ctx: &mut Ctx, x: &Var, batch: usize, len: usize, mask: &Tensor) -> Var {
+        let queries = mask.shape()[1];
         let a = self.attn.forward(ctx, x, batch, len, mask, self.dropout_p);
         let a = dropout(ctx, &a, self.dropout_p);
-        let s = self.ln1.forward(ctx, &ops::add(x, &a));
+        let residual = last_positions(x, batch, len, queries);
+        let s = self.ln1.forward(ctx, &ops::add(&residual, &a));
 
-        let _timing = FFN_TIMER.start_with((batch * len) as u64);
+        let _timing = FFN_TIMER.start_with((batch * queries) as u64);
         let f = self.ffn1.forward(ctx, &s);
         let f = ops::relu(&f);
         let f = dropout(ctx, &f, self.dropout_p);
@@ -228,13 +266,37 @@ impl TransformerEncoder {
         TransformerEncoder { blocks }
     }
 
-    /// Runs all blocks over `x: [B·T, d]`.
+    /// Runs all blocks over `x: [B·T, d]` under `mask: [B, T, T]`.
     pub fn forward(&self, ctx: &mut Ctx, x: &Var, batch: usize, len: usize, mask: &Tensor) -> Var {
         let mut h = x.clone();
         for block in &self.blocks {
             h = block.forward(ctx, &h, batch, len, mask);
         }
         h
+    }
+
+    /// The newest position of each sequence only, `[B, d]`: row `T-1` of
+    /// every sequence of [`TransformerEncoder::forward`], bit for bit.
+    ///
+    /// Earlier blocks run over all positions (they feed the final block's
+    /// keys and values); the final block computes queries, the output
+    /// projection, both layer norms and the FFN for the newest row alone.
+    pub fn forward_last(
+        &self,
+        ctx: &mut Ctx,
+        x: &Var,
+        batch: usize,
+        len: usize,
+        mask: &Tensor,
+    ) -> Var {
+        let Some((last, rest)) = self.blocks.split_last() else {
+            return last_positions(x, batch, len, 1);
+        };
+        let mut h = x.clone();
+        for block in rest {
+            h = block.forward(ctx, &h, batch, len, mask);
+        }
+        last.forward(ctx, &h, batch, len, &last_query_mask(mask))
     }
 }
 
@@ -320,6 +382,40 @@ mod tests {
             delta > 1e-6,
             "bidirectional attention should see the future"
         );
+    }
+
+    #[test]
+    fn last_row_encoder_matches_full_forward_bitwise() {
+        // Left-padded sequences of different real lengths, 1 and 2 blocks:
+        // the last-row forward (on either tape kind) must reproduce row
+        // T-1 of the full forward exactly.
+        let d = 8;
+        let (b, t) = (3, 5);
+        let pad: Vec<bool> = [3usize, 0, 4]
+            .iter()
+            .flat_map(|&p| (0..t).map(move |i| i < p))
+            .collect();
+        let mask = attention_mask(b, t, &pad, true);
+        let mut rng2 = SeedRng::seed(8);
+        let x = uniform(&[b * t, d], -1.0, 1.0, &mut rng2);
+        for layers in [1, 2] {
+            let mut rng = SeedRng::seed(7);
+            let enc = TransformerEncoder::new("enc", layers, d, 2, 0.1, &mut rng);
+            let mut ctx = Ctx::eval();
+            let xv = ctx.tape.leaf(x.clone());
+            let full = enc.forward(&mut ctx, &xv, b, t, &mask).value();
+            for mut ctx in [Ctx::eval(), Ctx::inference()] {
+                let xv = ctx.tape.leaf(x.clone());
+                let last = enc.forward_last(&mut ctx, &xv, b, t, &mask).value();
+                assert_eq!(last.shape(), &[b, d]);
+                for bi in 0..b {
+                    let want = &full.data()[(bi * t + t - 1) * d..(bi * t + t) * d];
+                    let got = &last.data()[bi * d..(bi + 1) * d];
+                    let bits = |r: &[f32]| r.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(got), bits(want), "layers {layers}, sequence {bi}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -24,9 +24,19 @@ impl Embedding {
     }
 
     /// Looks up `indices`, producing `[len, dim]`.
+    ///
+    /// On a `no_grad` tape nothing routes a gradient back to the table, so
+    /// the rows are gathered straight from a borrow of the parameter
+    /// instead of first cloning the whole table onto the tape: serving a
+    /// batch reads a few dozen rows of a catalog-sized table. Same gather,
+    /// same values.
     pub fn forward(&self, ctx: &Ctx, indices: &[usize]) -> Var {
         debug_assert!(indices.iter().all(|&i| i < self.vocab));
-        ops::index_select_rows(&self.table.leaf(&ctx.tape), indices)
+        if ctx.tape.grad_enabled() {
+            ops::index_select_rows(&self.table.leaf(&ctx.tape), indices)
+        } else {
+            ctx.constant(self.table.with_value(|t| t.index_select_rows(indices)))
+        }
     }
 
     /// Sums the rows of each bag: `out[r] = Σ_{i∈bags[r]} table[i]`.
@@ -112,6 +122,18 @@ mod tests {
         // Repeated index yields identical rows.
         let val = v.value();
         assert_eq!(&val.data()[0..4], &val.data()[4..8]);
+    }
+
+    #[test]
+    fn inference_lookup_matches_the_tape_lookup() {
+        let mut rng = SeedRng::seed(5);
+        let e = Embedding::new("e", 10, 4, &mut rng);
+        let idx = [9, 0, 3, 3];
+        let taped = e.forward(&Ctx::eval(), &idx).value();
+        let ctx = Ctx::inference();
+        let v = e.forward(&ctx, &idx);
+        assert_eq!(v.value().data(), taped.data());
+        assert_eq!(ctx.tape.len(), 1, "one gathered constant, no table copy");
     }
 
     #[test]

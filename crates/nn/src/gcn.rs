@@ -54,13 +54,13 @@ impl GcnLayer {
     /// `h: [R, K, d_in]`, `norm_adj: [K, K]` constant → `[R, K, d_out]`.
     pub fn forward(&self, ctx: &Ctx, h: &Var, norm_adj: &Tensor) -> Var {
         let n = ctx.tape.constant(norm_adj.clone());
-        self.forward_adj_var(ctx, h, &n)
+        self.forward_adj_var(h, &n)
     }
 
     /// Like [`GcnLayer::forward`] but the adjacency is itself a variable —
     /// used by the learned-relations extension (the paper's §3.5 note that
     /// the method "can also be extended to … learning the relation").
-    pub fn forward_adj_var(&self, ctx: &Ctx, h: &Var, norm_adj: &Var) -> Var {
+    pub fn forward_adj_var(&self, h: &Var, norm_adj: &Var) -> Var {
         let shape = h.shape();
         assert_eq!(shape.len(), 3, "GcnLayer expects [R, K, d], got {shape:?}");
         let (r, k, d) = (shape[0], shape[1], shape[2]);
@@ -73,8 +73,7 @@ impl GcnLayer {
 
         // (N·H)·W via a flat GEMM.
         let flat = ops::reshape(&agg, &[r * k, d]);
-        let w = self.weight.leaf(&ctx.tape);
-        let out = ops::matmul(&flat, &w);
+        let out = ops::matmul_param(&flat, &self.weight);
         let out = if self.relu { ops::relu(&out) } else { out };
         let d_out = self.weight.shape()[1];
         ops::reshape(&out, &[r, k, d_out])
@@ -119,16 +118,16 @@ impl Gcn {
     /// Message-passing transition `Z_{t+1} = F(Z_t, A)` of Eq. (9).
     pub fn forward(&self, ctx: &Ctx, h: &Var, norm_adj: &Tensor) -> Var {
         let n = ctx.tape.constant(norm_adj.clone());
-        self.forward_adj_var(ctx, h, &n)
+        self.forward_adj_var(h, &n)
     }
 
     /// Transition under a *variable* adjacency (learned-relations mode).
-    pub fn forward_adj_var(&self, ctx: &Ctx, h: &Var, norm_adj: &Var) -> Var {
+    pub fn forward_adj_var(&self, h: &Var, norm_adj: &Var) -> Var {
         let shape = h.shape();
         let _timing = GCN_TIMER.start_with(shape.iter().take(2).product::<usize>() as u64);
         let mut out = h.clone();
         for layer in &self.layers {
-            out = layer.forward_adj_var(ctx, &out, norm_adj);
+            out = layer.forward_adj_var(&out, norm_adj);
         }
         out
     }

@@ -47,8 +47,7 @@ impl Linear {
     /// Applies the layer to `x: [rows, in_dim]`.
     pub fn forward(&self, ctx: &Ctx, x: &Var) -> Var {
         debug_assert_eq!(x.shape().last(), Some(&self.in_dim));
-        let w = self.weight.leaf(&ctx.tape);
-        let y = ops::matmul(x, &w);
+        let y = ops::matmul_param(x, &self.weight);
         match &self.bias {
             Some(b) => ops::add(&y, &b.leaf(&ctx.tape)),
             None => y,

@@ -126,6 +126,14 @@ impl ReqCtx {
         self.id
     }
 
+    /// The instant the request started: the zero of `total_us` and of the
+    /// reply stage. Callers measure every other stage boundary (admission,
+    /// deadline) from this same instant, so no stage can start before the
+    /// request does.
+    pub fn started(&self) -> Instant {
+        self.start
+    }
+
     /// Adds `dur` to a stage's accounted time.
     pub fn record(&self, stage: Stage, dur: Duration) {
         self.stage_ns[stage as usize].fetch_add(dur.as_nanos() as u64, Ordering::Relaxed);

@@ -528,9 +528,11 @@ impl ScoreEngine {
         // The trace context is born before validation so invalid requests
         // still land in the access log (outcome "invalid"); None when
         // observability is off, which turns every probe below into a
-        // single branch.
-        let start = Instant::now();
+        // single branch. One clock read serves admission, the deadline and
+        // `total_us`: a separate earlier read would let the queue stage
+        // start before the request and overrun the total.
         let ctx = ReqCtx::start(history.len(), k);
+        let start = ctx.as_ref().map_or_else(Instant::now, |c| c.started());
         let out = self.recommend_inner(history, k, budget, start, &ctx);
         REQUESTS.inc();
         let (outcome, degraded) = match &out {
@@ -1063,6 +1065,9 @@ fn expire_or_admit(shared: &Shared, js: QueuedScore) -> Option<ScoreReq> {
     }
     let now = Instant::now();
     if let Some(c) = &js.ctx {
+        // Queue time counts from the request's own start, so the stage sum
+        // stays within `total_us` (see `recommend_opt`).
+        debug_assert_eq!(js.admitted, c.started());
         c.record(Stage::Queue, now.saturating_duration_since(js.admitted));
     }
     if let Some(d) = js.deadline {

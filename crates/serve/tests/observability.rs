@@ -172,6 +172,57 @@ fn access_log_has_one_consistent_line_per_request() {
 }
 
 #[test]
+fn stage_breakdown_never_exceeds_total_under_load() {
+    // A stage that starts before the request's own clock (e.g. a queue
+    // wait measured from an earlier admission instant) overruns `total_us`
+    // only when the stages tile the request almost exactly. A batch cap of
+    // 1 dispatches every request at once, with no batching window, so they
+    // do: such a bug then shows on about 1% of lines instead of 0.03%.
+    let _g = serial();
+    let buf = SharedBuf::default();
+    reqctx::set_access_log_writer(Box::new(buf.clone()));
+
+    let dir = tmpdir("stage-sum");
+    let engine = ScoreEngine::start(
+        snapshot_spec(&dir, 7),
+        ServeConfig {
+            max_batch: 1,
+            ..ServeConfig::default()
+        },
+    )
+    .unwrap();
+    let ds = tiny_dataset();
+    let (clients, per_client) = (2usize, 1500usize);
+    std::thread::scope(|s| {
+        for c in 0..clients {
+            let (engine, ds) = (&engine, &ds);
+            s.spawn(move || {
+                for i in 0..per_client {
+                    let seq = &ds.sequences[(c * per_client + i) % ds.sequences.len()];
+                    engine.recommend(&seq[..seq.len().min(6)], 5).unwrap();
+                }
+            });
+        }
+    });
+    drop(engine);
+    reqctx::disable_access_log();
+
+    let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
+    let lines: Vec<&str> = text.lines().filter(|l| !l.trim().is_empty()).collect();
+    assert_eq!(lines.len(), clients * per_client);
+    for line in &lines {
+        let stages: u64 = reqctx::STAGE_NAMES
+            .iter()
+            .map(|s| field_u64(line, &format!("{s}_us")))
+            .sum();
+        assert!(
+            stages <= field_u64(line, "total_us"),
+            "stage breakdown exceeds the end-to-end latency: {line}"
+        );
+    }
+}
+
+#[test]
 fn slo_monitor_counts_outcomes_and_flags_error_breach() {
     let _g = serial();
     // Activate request observability for the engine via an access-log sink
