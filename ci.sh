@@ -67,8 +67,8 @@ run_bench() {
     stage "benches compile: cargo bench --no-run"
     cargo bench --no-run --workspace --locked
     # Bench binaries are not covered by `cargo bench --no-run`; keep the
-    # serve-throughput sweep compiling (it backs BENCH_serve.json).
-    cargo build --release --locked -p ist-bench --bin bench_serve --bin bench_gemm
+    # GEMM sweep compiling (it backs BENCH_gemm.json).
+    cargo build --release --locked -p ist-bench --bin bench_gemm
 }
 
 run_determinism() {
@@ -324,12 +324,14 @@ run_serve() {
     # Train a small checkpoint, replay a synthetic 2000-request stream
     # through `isrec serve` as a *live soak*: the scrape endpoint
     # (IST_METRICS_ADDR) is polled while requests flow, the structured
-    # access log records every request, and the JSON report (v4: latency +
+    # access log records every request, and the JSON report (v5: latency +
     # SLO + exemplars) is validated. Then re-serve the same stream under
-    # IST_SERVE_BATCH=1 vs 32, IST_THREADS=1 vs 4, and
-    # IST_SERVE_SHARDS=1/2/4 — the result fingerprint must be bitwise
-    # identical in all of them (batching/parallelism/sharding/observability
-    # must never change scores).
+    # IST_SERVE_BATCH=1 vs 32 and IST_THREADS=1/2/3/4 — catalog scoring
+    # fans out one column block per pool worker, so the thread sweep is
+    # also the block-count sweep (3 gives uneven block widths). The result
+    # fingerprint must be bitwise identical in all of them
+    # (batching/parallelism/sharding/observability must never change
+    # scores).
     local work
     mktempd_tracked work
     cargo run --release --locked --bin isrec -- \
@@ -459,7 +461,7 @@ EOF
 import json, math, sys
 
 r = json.load(open(sys.argv[1]))
-if r.get("schema") != "isrec.serve_report.v4":
+if r.get("schema") != "isrec.serve_report.v5":
     sys.exit(f"FAIL: unexpected report schema {r.get('schema')!r}")
 slo = r["slo"]
 if not slo["active"]:
@@ -478,9 +480,8 @@ for ex in exs:
         sys.exit(f"FAIL: malformed exemplar: {ex}")
 if any(exs[i]["total_us"] < exs[i + 1]["total_us"] for i in range(len(exs) - 1)):
     sys.exit("FAIL: exemplars not sorted slowest-first")
-shard = r["shard"]
-if shard["count"] < 1:
-    sys.exit(f"FAIL: shard block reports no shards in effect: {shard}")
+if r["config"]["threads"] < 1:
+    sys.exit(f"FAIL: config reports no pool threads: {r['config']}")
 p99 = r["latency_us"]["p99"]
 if not (isinstance(p99, (int, float)) and math.isfinite(p99) and p99 > 0):
     sys.exit(f"FAIL: p99 latency is not a positive finite number: {p99!r}")
@@ -514,7 +515,7 @@ for i, line in enumerate(lines, 1):
         rec = json.loads(line)
     except json.JSONDecodeError as e:
         sys.exit(f"FAIL: access-log line {i} is not valid JSON ({e}): {line!r}")
-    missing = ({"req", "outcome", "total_us", "batch", "shards", "cache_hit"}
+    missing = ({"req", "outcome", "total_us", "batch", "cache_hit"}
                | set(stages)) - rec.keys()
     if missing:
         sys.exit(f"FAIL: access-log line {i} lacks {sorted(missing)}: {line!r}")
@@ -525,8 +526,8 @@ for i, line in enumerate(lines, 1):
         sys.exit(f"FAIL: fault-free soak logged outcome {rec['outcome']!r}: {line!r}")
     if sum(rec[s] for s in stages) > rec["total_us"]:
         sys.exit(f"FAIL: stage breakdown exceeds total latency: {line!r}")
-    if rec["batch"] < 1 or rec["shards"] < 1:
-        sys.exit(f"FAIL: answered request without batch/shard info: {line!r}")
+    if rec["batch"] < 1:
+        sys.exit(f"FAIL: answered request without batch info: {line!r}")
 hits = sum(json.loads(l)["cache_hit"] for l in lines)
 if hits == 0:
     sys.exit("FAIL: access log saw zero cache hits on a repeated-user stream")
@@ -550,8 +551,8 @@ if "serve.request_us" not in hists:
 print("serve telemetry ok: spans + latency histogram present")
 EOF
     local variant crc crcs=()
-    for variant in "IST_SERVE_BATCH=1" "IST_SERVE_BATCH=32" "IST_THREADS=1" "IST_THREADS=4" \
-                   "IST_SERVE_SHARDS=1" "IST_SERVE_SHARDS=2" "IST_SERVE_SHARDS=4"; do
+    for variant in "IST_SERVE_BATCH=1" "IST_SERVE_BATCH=32" \
+                   "IST_THREADS=1" "IST_THREADS=2" "IST_THREADS=3" "IST_THREADS=4"; do
         env "$variant" cargo run --release --locked --bin isrec -- \
             serve --data "$work/data" --checkpoint-dir "$work/ckpts" \
             --synthetic 500 --report "$work/report_variant.json" >/dev/null
@@ -564,7 +565,7 @@ EOF
         echo "FAIL: scores are not bitwise identical across batch/thread configs" >&2
         exit 1
     fi
-    echo "scores bitwise identical across IST_SERVE_BATCH=1/32, IST_THREADS=1/4, IST_SERVE_SHARDS=1/2/4"
+    echo "scores bitwise identical across IST_SERVE_BATCH=1/32, IST_THREADS=1/2/3/4"
 }
 
 run_chaos() {
@@ -572,7 +573,7 @@ run_chaos() {
     # Train once, then serve the same synthetic stream three times:
     #   1. fault-free baseline → record scores_crc, resilience all-zero;
     #   2. chaos soak under IST_SERVE_FAULTS (slow batch, scorer panics,
-    #      corrupt respawn reload) with sharded scoring (IST_SERVE_SHARDS=4)
+    #      corrupt respawn reload) with four-block scoring (IST_THREADS=4)
     #      and a per-request deadline — every
     #      request must end in a typed response before its deadline and the
     #      engine must recover (no lingering degraded mode, no deadlock);
@@ -589,7 +590,7 @@ run_chaos() {
         serve --data "$work/data" --snapshot "$work/model.bin" \
         --synthetic 600 --report "$work/report_baseline.json" >/dev/null
     IST_SERVE_FAULTS='slow@batch2:100,panic@batch4,corrupt_reload@2,panic@batch9' \
-        IST_SERVE_SHARDS=4 \
+        IST_THREADS=4 \
         cargo run --release --locked --bin isrec -- \
         serve --data "$work/data" --snapshot "$work/model.bin" \
         --synthetic 600 --deadline-ms 2000 --allow-errors 1 \
@@ -603,10 +604,10 @@ import json, sys
 
 base, chaos, rerun = (json.load(open(p)) for p in sys.argv[1:4])
 for name, r in (("baseline", base), ("chaos", chaos), ("rerun", rerun)):
-    if r.get("schema") != "isrec.serve_report.v4":
+    if r.get("schema") != "isrec.serve_report.v5":
         sys.exit(f"FAIL: {name}: unexpected report schema {r.get('schema')!r}")
-if chaos["shard"]["count"] != 4:
-    sys.exit(f"FAIL: chaos run ignored IST_SERVE_SHARDS=4: {chaos['shard']}")
+if chaos["config"]["threads"] != 4:
+    sys.exit(f"FAIL: chaos run ignored IST_THREADS=4: {chaos['config']}")
 
 # Chaos soak: every request accounted for with a typed outcome.
 res = chaos["resilience"]

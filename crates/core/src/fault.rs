@@ -44,10 +44,8 @@ impl FaultPlan {
     /// Parses the `IST_FAULTS` grammar (see the module docs).
     pub fn parse(spec: &str) -> Result<FaultPlan, String> {
         let mut plan = FaultPlan::default();
-        for tok in spec.split(',').map(str::trim).filter(|t| !t.is_empty()) {
-            let (kind, loc) = tok
-                .split_once('@')
-                .ok_or_else(|| format!("fault `{tok}`: expected kind@location"))?;
+        for tok in tokens(spec, "fault") {
+            let (tok, kind, loc) = tok?;
             match kind {
                 "loss_nan" => plan.loss_nan.push(parse_epoch_step(tok, loc)?),
                 "grad_inf" => plan.grad_inf.push(parse_epoch_step(tok, loc)?),
@@ -70,20 +68,7 @@ impl FaultPlan {
     /// ignored (the CI fault gate then fails loudly on its empty recovery
     /// log rather than the trainer crashing mid-run).
     pub fn from_env() -> FaultPlan {
-        match std::env::var("IST_FAULTS") {
-            Err(_) => FaultPlan::default(),
-            Ok(spec) if spec.trim().is_empty() => FaultPlan::default(),
-            Ok(spec) => match FaultPlan::parse(&spec) {
-                Ok(plan) => {
-                    eprintln!("fault injection active: {spec}");
-                    plan
-                }
-                Err(e) => {
-                    eprintln!("warning: ignoring IST_FAULTS: {e}");
-                    FaultPlan::default()
-                }
-            },
-        }
+        plan_from_env("IST_FAULTS", "fault", FaultPlan::parse)
     }
 
     /// True when no faults remain to fire.
@@ -106,6 +91,50 @@ impl FaultPlan {
     pub fn take_ckpt_fault(&mut self, ordinal: usize) -> Option<CkptFault> {
         let idx = self.ckpt.iter().position(|&(n, _)| n == ordinal)?;
         Some(self.ckpt.remove(idx).1)
+    }
+}
+
+/// Splits a comma-separated `kind@location` spec into `(token, kind,
+/// location)` triples, trimming whitespace and skipping empty tokens.
+/// `what` names the grammar in the error for a token without `@`
+/// (`"fault"` here, `"serve fault"` for the serving plan).
+pub fn tokens<'a>(
+    spec: &'a str,
+    what: &'a str,
+) -> impl Iterator<Item = Result<(&'a str, &'a str, &'a str), String>> + 'a {
+    spec.split(',')
+        .map(str::trim)
+        .filter(|t| !t.is_empty())
+        .map(move |tok| {
+            tok.split_once('@')
+                .map(|(kind, loc)| (tok, kind, loc))
+                .ok_or_else(|| format!("{what} `{tok}`: expected kind@location"))
+        })
+}
+
+/// Loads a fault plan from the environment variable `var`. Unset or empty
+/// means no faults; a plan that parses is announced on stderr
+/// (`"<what> injection active: <spec>"`); a malformed spec is reported on
+/// stderr and ignored, so a typo never crashes the run it was meant to
+/// exercise.
+pub fn plan_from_env<P: Default>(
+    var: &str,
+    what: &str,
+    parse: impl FnOnce(&str) -> Result<P, String>,
+) -> P {
+    match std::env::var(var) {
+        Err(_) => P::default(),
+        Ok(spec) if spec.trim().is_empty() => P::default(),
+        Ok(spec) => match parse(&spec) {
+            Ok(plan) => {
+                eprintln!("{what} injection active: {spec}");
+                plan
+            }
+            Err(e) => {
+                eprintln!("warning: ignoring {var}: {e}");
+                P::default()
+            }
+        },
     }
 }
 

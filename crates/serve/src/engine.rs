@@ -28,13 +28,13 @@ use isrec_core::{snapshot, CheckpointManager, Isrec, IsrecConfig};
 use ist_data::SequentialDataset;
 use ist_nn::Module as _;
 use ist_obs::reqctx::{self, ReqCtx, Stage};
-use ist_tensor::Tensor;
+use ist_tensor::{pool, Tensor};
 
 use crate::cache::ReprCache;
 use crate::error::ServeError;
 use crate::fallback::FallbackRanker;
 use crate::resilience::{BatchFault, ServeFaultPlan};
-use crate::shard::{resolve_shards, score_sharded_timed, ShardPlan};
+use crate::shard::score_sharded_timed;
 use crate::slo::{self, SloConfig, SloMonitor, SloSnapshot};
 
 /// End-to-end request latency (enqueue → response), microseconds; the
@@ -120,11 +120,6 @@ pub struct ServeConfig {
     /// Injected fault schedule. `None` reads `IST_SERVE_FAULTS` at
     /// [`ScoreEngine::start`]; tests pass an explicit plan.
     pub faults: Option<ServeFaultPlan>,
-    /// Catalog-scoring shard count (`IST_SERVE_SHARDS`). `0` (the
-    /// default) means auto: one shard per `ist_tensor` pool worker.
-    /// Counts above the catalog size clamp to one item per shard.
-    /// Scores and ranking are bitwise identical for every value.
-    pub shards: usize,
     /// SLO targets for the rolling monitor. `None` reads
     /// `IST_SERVE_SLO_MS` / `IST_SERVE_SLO_ERR_PCT` /
     /// `IST_SERVE_SLO_WINDOW` at [`ScoreEngine::start`]; tests pass an
@@ -143,7 +138,6 @@ impl Default for ServeConfig {
             queue_cap: 1024,
             max_respawns: 3,
             faults: None,
-            shards: 0,
             slo: None,
         }
     }
@@ -158,8 +152,7 @@ fn env_u64(name: &str, default: u64) -> u64 {
 impl ServeConfig {
     /// Reads `IST_SERVE_BATCH`, `IST_SERVE_BATCH_TIMEOUT_US`,
     /// `IST_SERVE_CACHE`, `IST_SERVE_DEADLINE_MS`, `IST_SERVE_QUEUE`,
-    /// `IST_SERVE_MAX_RESPAWNS` and `IST_SERVE_SHARDS`, falling back to
-    /// the defaults above.
+    /// and `IST_SERVE_MAX_RESPAWNS`, falling back to the defaults above.
     pub fn from_env() -> Self {
         let d = ServeConfig::default();
         let deadline_ms = env_u64("IST_SERVE_DEADLINE_MS", 0);
@@ -174,7 +167,6 @@ impl ServeConfig {
             queue_cap: env_u64("IST_SERVE_QUEUE", d.queue_cap as u64) as usize,
             max_respawns: env_u64("IST_SERVE_MAX_RESPAWNS", d.max_respawns as u64) as u32,
             faults: None,
-            shards: env_u64("IST_SERVE_SHARDS", d.shards as u64) as usize,
             slo: None,
         }
     }
@@ -230,9 +222,6 @@ pub struct EngineStats {
     pub reload_skipped: u64,
     /// True while the engine is serving fallback answers.
     pub degraded: bool,
-    /// Catalog-scoring shards in effect (0 until the scorer builds its
-    /// plan; the auto setting resolves to the pool size here).
-    pub shards: u64,
 }
 
 impl EngineStats {
@@ -380,8 +369,6 @@ struct Shared {
     degraded_served: AtomicU64,
     reload_skipped: AtomicU64,
     degraded: AtomicBool,
-    /// Shard count the scorer's current plan resolved to (0 pre-build).
-    shards: AtomicU64,
     /// Admission sequence numbers (shed/expiry tiebreaker).
     seq: AtomicU64,
     /// Catalog size, for request validation off the scorer thread.
@@ -427,7 +414,6 @@ impl Shared {
             degraded_served: AtomicU64::new(0),
             reload_skipped: AtomicU64::new(0),
             degraded: AtomicBool::new(false),
-            shards: AtomicU64::new(0),
             seq: AtomicU64::new(0),
             num_items,
             fallback,
@@ -650,7 +636,6 @@ impl ScoreEngine {
             degraded_served: self.shared.degraded_served.load(Ordering::Relaxed),
             reload_skipped: self.shared.reload_skipped.load(Ordering::Relaxed),
             degraded: self.shared.degraded.load(Ordering::Relaxed),
-            shards: self.shared.shards.load(Ordering::Relaxed),
         }
     }
 
@@ -945,8 +930,8 @@ fn degraded_loop<'scope, 'env>(
                         degraded: true,
                     });
                 if let Some(c) = &req.ctx {
-                    // Fallback answers are unbatched and unsharded.
-                    c.set_batch_info(false, 1, 0);
+                    // Fallback answers are unbatched.
+                    c.set_batch_info(false, 1);
                     c.mark_filled();
                 }
                 req.slot.fill(result);
@@ -1201,12 +1186,6 @@ fn scorer_incarnation(
         shared.epoch.store(e, Ordering::Relaxed);
     }
     let mut table_t = model.output_item_table_t();
-    // Shard bounds over the table's columns; the table itself is viewed in
-    // place by `gemm_cols`, never copied per shard.
-    let mut plan = ShardPlan::new(table_t.shape()[1], resolve_shards(cfg.shards));
-    shared
-        .shards
-        .store(plan.num_shards() as u64, Ordering::Relaxed);
     let mut cache = ReprCache::new(cfg.cache_entries);
     let _ = ready_tx.send(Ok(()));
 
@@ -1215,16 +1194,7 @@ fn scorer_incarnation(
             Work::Quit => return Exit::Shutdown,
             Work::Reload(slot) => {
                 let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    reload_model(
-                        spec,
-                        cfg,
-                        &model,
-                        &mut epoch,
-                        &mut table_t,
-                        &mut plan,
-                        &mut cache,
-                        shared,
-                    )
+                    reload_model(spec, &model, &mut epoch, &mut table_t, &mut cache, shared)
                 }));
                 match outcome {
                     Ok(result) => {
@@ -1247,7 +1217,7 @@ fn scorer_incarnation(
             }
             Work::Batch(batch) => {
                 let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    process_batch(&model, &table_t, &plan, &mut cache, shared, &batch)
+                    process_batch(&model, &table_t, &mut cache, shared, &batch)
                 }));
                 if let Err(payload) = outcome {
                     // Fail only the poisoned batch: each of its requests
@@ -1269,37 +1239,28 @@ fn scorer_incarnation(
 
 /// Applies a reload request. The scorer is single-threaded, so swapping the
 /// weights + table between batches is atomic from every caller's view.
-/// The shard plan is re-sliced over the fresh table — bounds only, the
-/// table data is never duplicated per shard.
-#[allow(clippy::too_many_arguments)]
 fn reload_model(
     spec: &ModelSpec,
-    cfg: &ServeConfig,
     model: &Isrec,
     epoch: &mut Option<u64>,
     table_t: &mut Tensor,
-    plan: &mut ShardPlan,
     cache: &mut ReprCache,
     shared: &Shared,
 ) -> Result<Option<u64>, String> {
-    let mut swap_table = |table_t: &mut Tensor, plan: &mut ShardPlan| {
+    let mut swap_table = |table_t: &mut Tensor| {
         *table_t = model.output_item_table_t();
-        *plan = ShardPlan::new(table_t.shape()[1], resolve_shards(cfg.shards));
-        shared
-            .shards
-            .store(plan.num_shards() as u64, Ordering::Relaxed);
         cache.clear();
     };
     match load_weights(model, &spec.source, *epoch, shared)? {
         Some(new_epoch) => {
             *epoch = Some(new_epoch);
-            swap_table(table_t, plan);
+            swap_table(table_t);
             Ok(Some(new_epoch))
         }
         None => match &spec.source {
             // Snapshot reload always re-applies the (validated) file.
             ModelSource::Snapshot(_) => {
-                swap_table(table_t, plan);
+                swap_table(table_t);
                 Ok(None)
             }
             ModelSource::CheckpointDir(_) => Ok(None),
@@ -1324,7 +1285,6 @@ fn take_batch_fault(shared: &Shared) -> Option<BatchFault> {
 fn process_batch(
     model: &Isrec,
     table_t: &Tensor,
-    plan: &ShardPlan,
     cache: &mut ReprCache,
     shared: &Shared,
     batch: &[ScoreReq],
@@ -1401,7 +1361,7 @@ fn process_batch(
         for (req, &hit) in batch.iter().zip(&hits) {
             if let Some(c) = &req.ctx {
                 c.record(Stage::Encode, dur);
-                c.set_batch_info(hit, m, plan.num_shards());
+                c.set_batch_info(hit, m);
             }
         }
     }
@@ -1415,12 +1375,12 @@ fn process_batch(
     shared.cache_hits.store(hits, Ordering::Relaxed);
     shared.cache_misses.store(misses, Ordering::Relaxed);
 
-    // Catalog scoring runs shard by shard (see [`crate::shard`]): each
-    // column block of the item table is one GEMM + bounded-heap top-K
-    // while the block's scores are cache-hot, and the per-shard lists
-    // merge under the same rank order a single global heap would use —
-    // scores and ranking are bitwise independent of the shard count, the
-    // batch makeup, and the pool size. A row that failed to resolve fails
+    // Catalog scoring runs one column block per pool worker (see
+    // [`crate::shard`]): each block of the item table is one GEMM +
+    // bounded-heap top-K while the block's scores are cache-hot, and the
+    // per-block lists merge under the same rank order a single global
+    // heap would use — scores and ranking are bitwise independent of the
+    // pool size and the batch makeup. A row that failed to resolve fails
     // only its own request.
     let mut resolved: Vec<usize> = Vec::with_capacity(m);
     let mut stacked: Vec<f32> = Vec::with_capacity(m * d);
@@ -1445,7 +1405,8 @@ fn process_batch(
     }
     let ks: Vec<usize> = resolved.iter().map(|&i| batch[i].k).collect();
     let reprs = Tensor::from_vec(stacked, &[resolved.len(), d]);
-    let (ranked, timing) = score_sharded_timed(&reprs, table_t, &ks, plan);
+    let blocks = pool::global().threads();
+    let (ranked, timing) = score_sharded_timed(&reprs, table_t, &ks, blocks);
 
     for (&i, items) in resolved.iter().zip(ranked) {
         let req = &batch[i];

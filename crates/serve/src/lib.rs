@@ -27,12 +27,12 @@
 //!   encoder entirely and re-score via the same GEMM as misses, so a
 //!   cached answer is bitwise identical to a cold one.
 //! * **Sharded scoring** — the transposed item table is partitioned into
-//!   `IST_SERVE_SHARDS` column blocks (default: one per pool worker);
-//!   each shard is one column-view GEMM + bounded-heap top-K while its
-//!   scores are cache-hot, fanned out on the `ist_tensor` pool, and the
-//!   per-shard lists merge under the heap's own rank order ([`shard`]).
-//!   Scores and ranking are **bitwise identical for every shard count**
-//!   — a guarantee the CI serve stage enforces via `scores_crc`.
+//!   one column block per `ist_tensor` pool worker (`IST_THREADS`); each
+//!   block is one column-view GEMM + bounded-heap top-K while its scores
+//!   are cache-hot, fanned out on the pool, and the per-block lists merge
+//!   under the heap's own rank order ([`shard`]). Scores and ranking are
+//!   **bitwise identical for every pool size** — a guarantee the CI serve
+//!   stage enforces via `scores_crc`.
 //! * **Top-K retrieval** — scores against the full catalog are reduced by
 //!   a bounded binary heap ([`top_k`]): `O(n log k)`, no full sort, NaN
 //!   scores rejected, ties broken toward the smaller item id.
@@ -102,6 +102,6 @@ pub use engine::{
 pub use error::ServeError;
 pub use fallback::FallbackRanker;
 pub use resilience::{BatchFault, ServeFaultPlan};
-pub use shard::{shard_latency, ShardPlan, ShardTiming};
+pub use shard::ShardTiming;
 pub use slo::{SloConfig, SloMonitor, SloSnapshot};
 pub use topk::{merge_top_k, top_k, top_k_range};

@@ -25,6 +25,8 @@
 
 use std::time::Duration;
 
+use isrec_core::fault::{plan_from_env, tokens};
+
 /// What the fault plan injects into one scored batch.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BatchFault {
@@ -51,10 +53,8 @@ impl ServeFaultPlan {
     /// Parses the `IST_SERVE_FAULTS` grammar (see the module docs).
     pub fn parse(spec: &str) -> Result<ServeFaultPlan, String> {
         let mut plan = ServeFaultPlan::default();
-        for tok in spec.split(',').map(str::trim).filter(|t| !t.is_empty()) {
-            let (kind, loc) = tok
-                .split_once('@')
-                .ok_or_else(|| format!("serve fault `{tok}`: expected kind@location"))?;
+        for tok in tokens(spec, "serve fault") {
+            let (tok, kind, loc) = tok?;
             match kind {
                 "panic" => plan.panic_batches.push(parse_batch(tok, loc)?),
                 "slow" => {
@@ -87,20 +87,7 @@ impl ServeFaultPlan {
     /// chaos gate then fails loudly on a clean report rather than the
     /// engine crashing at startup).
     pub fn from_env() -> ServeFaultPlan {
-        match std::env::var("IST_SERVE_FAULTS") {
-            Err(_) => ServeFaultPlan::default(),
-            Ok(spec) if spec.trim().is_empty() => ServeFaultPlan::default(),
-            Ok(spec) => match ServeFaultPlan::parse(&spec) {
-                Ok(plan) => {
-                    eprintln!("serve fault injection active: {spec}");
-                    plan
-                }
-                Err(e) => {
-                    eprintln!("warning: ignoring IST_SERVE_FAULTS: {e}");
-                    ServeFaultPlan::default()
-                }
-            },
-        }
+        plan_from_env("IST_SERVE_FAULTS", "serve fault", ServeFaultPlan::parse)
     }
 
     /// True when no faults remain to fire.

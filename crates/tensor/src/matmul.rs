@@ -17,9 +17,9 @@
 //! ([`crate::pool`]); no threads are spawned per call. Every output element
 //! is computed by exactly one task with a fixed k-accumulation order, so
 //! results are bitwise identical for every pool size. The serial/parallel
-//! crossover is derived from the pool size and the tunable per-worker grain
-//! ([`crate::pool::gemm_grain`]), plus a measured small-size serial cutoff
-//! ([`crate::pool::gemm_serial_cutoff`]) below which fan-out overhead
+//! crossover is derived from the pool size and the per-worker grain
+//! ([`crate::pool::GEMM_GRAIN`]), plus a measured small-size serial cutoff
+//! ([`crate::pool::GEMM_SERIAL_CUTOFF`]) below which fan-out overhead
 //! always loses to the single-threaded blocked kernel.
 
 use crate::pool;
@@ -245,11 +245,11 @@ pub fn matmul_in(pool: &pool::ThreadPool, a: &Tensor, b: &Tensor) -> Tensor {
     let _timing = GEMM_TIMER.start_with(2 * flops as u64);
     let threads = pool.threads();
     // Two gates: enough work per worker (grain) AND enough total work to
-    // amortise the fan-out itself (serial cutoff — see `gemm_serial_cutoff`
+    // amortise the fan-out itself (serial cutoff — see `GEMM_SERIAL_CUTOFF`
     // for the measured small-size crossover).
     let parallel = threads > 1
-        && flops >= pool::gemm_serial_cutoff()
-        && flops >= pool::gemm_grain().saturating_mul(threads)
+        && flops >= pool::GEMM_SERIAL_CUTOFF
+        && flops >= pool::GEMM_GRAIN.saturating_mul(threads)
         && m >= 2;
     if !parallel {
         gemm_blocked(a.data(), b.data(), &mut out, m, k, n);
@@ -292,7 +292,7 @@ pub fn matvec(a: &Tensor, x: &Tensor) -> Tensor {
             *slot = simd::dot(row, x_data);
         }
     };
-    if pool::should_parallelize(m * k, pool::gemm_grain()) {
+    if pool::should_parallelize(m * k, pool::GEMM_GRAIN) {
         let rows_per = m.div_ceil(pool::global().threads()).max(1);
         pool::parallel_chunks_mut(&mut out, rows_per, |chunk_idx, out_chunk| {
             dot_rows(chunk_idx * rows_per, out_chunk);
@@ -334,7 +334,7 @@ pub fn bmm(a: &Tensor, b: &Tensor) -> Tensor {
             );
         }
     };
-    let parallel = threads > 1 && ba > 1 && flops >= pool::gemm_grain().saturating_mul(threads);
+    let parallel = threads > 1 && ba > 1 && flops >= pool::GEMM_GRAIN.saturating_mul(threads);
     if !parallel {
         run_batches(0, &mut out);
         return Tensor::from_vec(out, &[ba, m, n]);

@@ -194,72 +194,51 @@ fn worker_loop(shared: &Shared) {
     }
 }
 
-/// The lazily-initialised global pool shared by all tensor ops.
+/// The lazily-initialised global pool shared by all tensor ops. Panics on
+/// a malformed `IST_THREADS`; binaries check [`configured_threads`] at
+/// startup so that surfaces as a usage error before any work.
 pub fn global() -> &'static ThreadPool {
     static POOL: OnceLock<ThreadPool> = OnceLock::new();
     POOL.get_or_init(|| {
-        let pool = ThreadPool::new(configured_threads());
+        let pool = ThreadPool::new(configured_threads().unwrap_or_else(|e| panic!("{e}")));
         POOL_THREADS.set(pool.threads() as u64);
         pool
     })
 }
 
 /// Pool size: `IST_THREADS` override, else `available_parallelism` capped
-/// at 8 (the cap the workspace has always used).
-pub fn configured_threads() -> usize {
+/// at 8 (the cap the workspace has always used). `IST_THREADS=0` clamps
+/// to 1; a value that is not a non-negative integer is an error.
+pub fn configured_threads() -> Result<usize, String> {
     match std::env::var("IST_THREADS") {
         Ok(v) => v
             .trim()
             .parse::<usize>()
-            .unwrap_or_else(|_| panic!("IST_THREADS must be a positive integer, got {v:?}"))
-            .max(1),
-        Err(_) => std::thread::available_parallelism()
+            .map(|n| n.max(1))
+            .map_err(|_| format!("IST_THREADS must be a positive integer, got {v:?}")),
+        Err(_) => Ok(std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1)
-            .min(8),
+            .min(8)),
     }
 }
 
 /// GEMM parallel-crossover grain: minimum multiply-add count *per worker*
-/// before the pool is engaged. Tunable via `IST_PAR_GRAIN`.
-pub fn gemm_grain() -> usize {
-    static GRAIN: OnceLock<usize> = OnceLock::new();
-    *GRAIN.get_or_init(|| {
-        std::env::var("IST_PAR_GRAIN")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .unwrap_or(1 << 18)
-    })
-}
+/// before the pool is engaged.
+pub const GEMM_GRAIN: usize = 1 << 18;
 
 /// Small-GEMM serial cutoff: total multiply-add count below which a matmul
 /// never engages the pool, regardless of thread count. BENCH_gemm.json
 /// measured the fan-out overhead (enqueue + latch + wakeup) losing to the
 /// single-threaded blocked kernel up through 128³ (2 M flops, `blocked`
 /// 22.7 vs `blocked_pool`@4 14.0 GFLOP/s) and only breaking even above
-/// ~256³; the default cutoff of 2²³ (≈8.4 M) keeps everything at or below
-/// ~200³ serial. Tunable via `IST_PAR_MIN_FLOPS`.
-pub fn gemm_serial_cutoff() -> usize {
-    static CUTOFF: OnceLock<usize> = OnceLock::new();
-    *CUTOFF.get_or_init(|| {
-        std::env::var("IST_PAR_MIN_FLOPS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .unwrap_or(1 << 23)
-    })
-}
+/// ~256³; the cutoff of 2²³ (≈8.4 M) keeps everything at or below ~200³
+/// serial.
+pub const GEMM_SERIAL_CUTOFF: usize = 1 << 23;
 
 /// Elementwise/reduction crossover grain: minimum element count per worker
-/// before the pool is engaged. Tunable via `IST_ELEM_GRAIN`.
-pub fn elem_grain() -> usize {
-    static GRAIN: OnceLock<usize> = OnceLock::new();
-    *GRAIN.get_or_init(|| {
-        std::env::var("IST_ELEM_GRAIN")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .unwrap_or(1 << 15)
-    })
-}
+/// before the pool is engaged.
+pub const ELEM_GRAIN: usize = 1 << 15;
 
 /// True when `work` units (flops, elements — caller's choice of `grain`)
 /// justify fanning out over the global pool.
@@ -443,6 +422,6 @@ mod tests {
 
     #[test]
     fn configured_threads_is_positive() {
-        assert!(configured_threads() >= 1);
+        assert!(configured_threads().unwrap() >= 1);
     }
 }

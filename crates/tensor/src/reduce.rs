@@ -30,7 +30,7 @@ const SUM_CHUNK: usize = 4096;
 /// across thread counts.
 pub fn sum(t: &Tensor) -> f32 {
     let data = t.data();
-    if pool::should_parallelize(data.len(), pool::elem_grain()) {
+    if pool::should_parallelize(data.len(), pool::ELEM_GRAIN) {
         pool::parallel_map_chunks(data, SUM_CHUNK, |c| c.iter().sum::<f32>())
             .into_iter()
             .sum()
@@ -50,7 +50,7 @@ fn for_row_blocks(
     fill: impl Fn(usize, &mut [f32]) + Sync,
 ) {
     let rows = out.len() / row_len.max(1);
-    if pool::should_parallelize(work, pool::elem_grain()) && rows > 1 {
+    if pool::should_parallelize(work, pool::ELEM_GRAIN) && rows > 1 {
         let rows_per = rows.div_ceil(pool::global().threads()).max(1);
         pool::parallel_chunks_mut(out, rows_per * row_len, |ci, chunk| {
             fill(ci * rows_per, chunk);

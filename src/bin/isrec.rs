@@ -356,15 +356,14 @@ fn cmd_graph_dump(args: &Args) -> Result<(), String> {
 /// space/comma-separated history per line) or a `--synthetic N` stream from
 /// `--clients` concurrent threads, and prints a throughput/latency report.
 /// `--deadline-ms N` sets a per-request deadline (0 disables; default from
-/// `IST_SERVE_DEADLINE_MS`). `--shards N` sets the catalog-scoring shard
-/// count (0 = auto: one per pool worker; default from `IST_SERVE_SHARDS`)
-/// — scores and `scores_crc` are bitwise identical for every value.
-/// `--allow-errors 1` keeps the run alive when
+/// `IST_SERVE_DEADLINE_MS`). Catalog scoring fans out one column block
+/// per pool worker (`IST_THREADS`); scores and `scores_crc` are bitwise
+/// identical for every pool size. `--allow-errors 1` keeps the run alive when
 /// requests fail with typed errors (sheds, timeouts, scorer panics — the
 /// chaos gate's bread and butter) and reports them per kind instead.
 /// `--report <path>` additionally writes the machine-readable
-/// `isrec.serve_report.v4` JSON consumed by the CI serve and chaos stages
-/// (latency/batch/cache/resilience/shard blocks plus the SLO snapshot and
+/// `isrec.serve_report.v5` JSON consumed by the CI serve and chaos stages
+/// (latency/batch/cache/resilience/config blocks plus the SLO snapshot and
 /// slowest-request exemplars). `--linger-ms N` keeps the process (and its
 /// scrape endpoint) alive N ms after the report, for external scrapers.
 fn cmd_serve(args: &Args) -> Result<(), String> {
@@ -431,9 +430,6 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     if let Some(ms) = args.get("deadline-ms") {
         let ms: u64 = ms.parse().map_err(|e| format!("--deadline-ms: {e}"))?;
         serve_cfg.deadline = (ms > 0).then(|| std::time::Duration::from_millis(ms));
-    }
-    if let Some(s) = args.get("shards") {
-        serve_cfg.shards = s.parse().map_err(|e| format!("--shards: {e}"))?;
     }
     let allow_errors = args.get("allow-errors").is_some();
     let spec = ModelSpec {
@@ -557,20 +553,6 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         stats.cache_misses,
         stats.hit_rate() * 100.0
     );
-    let (shard_samples, shard_p50, shard_p95, shard_p99) = isrec_suite::serve::shard_latency();
-    println!(
-        "shards: {} in effect (configured {}){}",
-        stats.shards,
-        serve_cfg.shards,
-        if shard_samples > 0 {
-            format!(
-                "; per-shard µs: p50 {shard_p50:.0} / p95 {shard_p95:.0} / p99 {shard_p99:.0} \
-                 over {shard_samples} samples"
-            )
-        } else {
-            String::new()
-        }
-    );
     println!(
         "resilience: {answered}/{total} answered ({degraded_answers} degraded), \
          {failed} failed; shed {} / timed_out {} / panics {} / respawns {} / \
@@ -640,7 +622,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
                     format!(
                         "{{\"req\": {}, \"total_us\": {}, \"outcome\": \"{}\", \
                          \"degraded\": {}, \"hist\": {}, \"k\": {}, \"cache_hit\": {}, \
-                         \"batch\": {}, \"shards\": {}, {}}}",
+                         \"batch\": {}, {}}}",
                         ex.id,
                         ex.total_us,
                         ex.outcome,
@@ -649,7 +631,6 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
                         ex.k,
                         ex.cache_hit,
                         ex.batch,
-                        ex.shards,
                         stages.join(", ")
                     )
                 })
@@ -659,7 +640,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         let json = format!(
             concat!(
                 "{{\n",
-                "  \"schema\": \"isrec.serve_report.v4\",\n",
+                "  \"schema\": \"isrec.serve_report.v5\",\n",
                 "  \"dataset\": \"{dataset}\",\n",
                 "  \"source\": \"{source}\",\n",
                 "  \"epoch\": {epoch},\n",
@@ -672,8 +653,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
                 "  \"batch\": {{\"count\": {batches}, \"avg\": {avg_batch:.3}, \"max\": {max_batch}}},\n",
                 "  \"cache\": {{\"hits\": {hits}, \"misses\": {misses}, \"hit_rate\": {hit_rate:.4}}},\n",
                 "  \"resilience\": {{\"answered\": {answered}, \"failed\": {failed}, \"degraded_answers\": {degraded_answers}, \"shed\": {shed}, \"timed_out\": {timed_out}, \"scorer_panics\": {panics}, \"respawns\": {respawns}, \"reload_skipped\": {reload_skipped}, \"degraded\": {degraded}, \"errors\": {errors}}},\n",
-                "  \"shard\": {{\"configured\": {cfg_shards}, \"count\": {shard_count}, \"samples\": {shard_samples}, \"p50_us\": {shard_p50:.1}, \"p95_us\": {shard_p95:.1}, \"p99_us\": {shard_p99:.1}}},\n",
-                "  \"config\": {{\"max_batch\": {cfg_batch}, \"batch_timeout_us\": {cfg_timeout}, \"cache_entries\": {cfg_cache}, \"deadline_ms\": {cfg_deadline}, \"queue_cap\": {cfg_queue}, \"max_respawns\": {cfg_respawns}, \"shards\": {cfg_shards}}},\n",
+                "  \"config\": {{\"max_batch\": {cfg_batch}, \"batch_timeout_us\": {cfg_timeout}, \"cache_entries\": {cfg_cache}, \"deadline_ms\": {cfg_deadline}, \"queue_cap\": {cfg_queue}, \"max_respawns\": {cfg_respawns}, \"threads\": {cfg_threads}}},\n",
                 "  \"slo\": {slo},\n",
                 "  \"exemplars\": {exemplars},\n",
                 "  \"scores_crc\": {crc}\n",
@@ -716,12 +696,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
                 .map_or(0, |d| d.as_millis() as u64),
             cfg_queue = serve_cfg.queue_cap,
             cfg_respawns = serve_cfg.max_respawns,
-            cfg_shards = serve_cfg.shards,
-            shard_count = stats.shards,
-            shard_samples = shard_samples,
-            shard_p50 = shard_p50,
-            shard_p95 = shard_p95,
-            shard_p99 = shard_p99,
+            cfg_threads = isrec_suite::tensor::pool::global().threads(),
             slo = slo.to_json(),
             exemplars = exemplars_json,
             crc = scores_crc,
@@ -749,6 +724,12 @@ const USAGE: &str =
 run with a subcommand; see the module docs at the top of src/bin/isrec.rs";
 
 fn main() -> ExitCode {
+    // A malformed IST_THREADS is a usage error, reported before any work
+    // (the worker pool would otherwise panic at its first parallel op).
+    if let Err(e) = isrec_suite::tensor::pool::configured_threads() {
+        eprintln!("error: {e}\n{USAGE}");
+        return ExitCode::from(2);
+    }
     let args = Args::parse();
     if let Some(path) = args.get("metrics-out") {
         if let Err(e) = isrec_suite::obs::set_output_path(path) {
